@@ -11,7 +11,7 @@ Public API quick reference::
     result = engine.synthesize([(("c4 c3 c1",), "Facebook Apple Microsoft")])
     result.program(("c2 c5 c6",))        # -> "Google IBM Xerox"
     result.programs                      # ranked (score, Program) candidates
-    result.consistent_count              # Figure 11(a) metric
+    result.consistent_count              # Figure 11(a) metric, computed on first read
     result.ambiguous                     # more than one consistent program?
 
     payload = result.program.to_dict()   # serialize: cache / serve later

@@ -6,7 +6,8 @@
   (:mod:`repro.api.registry`) instead of hard-coding the three languages,
 * :meth:`Synthesizer.synthesize` runs §3.1's Synthesize over a task and
   returns a :class:`~repro.api.result.SynthesisResult` with ranked
-  candidates, version-space metrics, timing and ambiguity flags,
+  candidates, version-space metrics (the count computed on first read),
+  timing and ambiguity flags,
 * :meth:`Synthesizer.run_batch` fans many independent tasks out over a
   thread pool, preserving input order.
 
@@ -28,6 +29,7 @@ from repro.api.result import (
     PROVENANCE_BEST,
     PROVENANCE_ENUMERATED,
     PROVENANCE_TOP_K,
+    DeferredCount,
     RankedProgram,
     SynthesisResult,
     SynthesisTask,
@@ -270,20 +272,21 @@ class Synthesizer:
             raise NoProgramFoundError(
                 f"{adapter.name}: the version space is empty"
             )
-        consistent_count = self._backend.count_expressions(structure)
+        ranked = time.perf_counter()
         structure_size = self._backend.structure_size(structure)
         finished = time.perf_counter()
         return SynthesisResult(
             task=task,
             language=self.language,
             programs=tuple(candidates),
-            consistent_count=consistent_count,
+            consistent_count=DeferredCount(self._backend, structure),
             structure_size=structure_size,
             elapsed_seconds=finished - started,
             phase_seconds={
                 "generate": generated - started,
                 "intersect": intersected - generated,
-                "rank": finished - intersected,
+                "rank": ranked - intersected,
+                "measure": finished - ranked,
             },
         )
 

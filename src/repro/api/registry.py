@@ -52,7 +52,10 @@ class LanguageBackend(Protocol):
     :class:`~repro.tables.catalog.Catalog` as its first argument.
     Backends may additionally offer ``top_programs(structure, k)``
     returning ranked ``(cost, expression)`` pairs; the engine uses it for
-    top-k results when present.
+    top-k results when present.  They may also offer
+    ``is_ambiguous(structure)`` -- whether more than one expression is
+    consistent -- which ``SynthesisResult.ambiguous`` uses instead of the
+    exact count.
     """
 
     name: str

@@ -9,9 +9,9 @@ flag -- so nothing has to be recomputed (or re-synthesized) downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log10
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.formalism import Example
 
@@ -25,12 +25,40 @@ PROVENANCE_ENUMERATED = "enumerated"  # enumerated, scored by the shared cost mo
 
 
 def count_log10(value: int) -> float:
-    """log10 of a (possibly astronomically large) expression count."""
+    """log10 of a (possibly astronomically large) expression count.
+
+    Counts beyond float range keep their top 900 bits: ``log10`` of those
+    plus the shifted-out bits' exact contribution.
+    """
     if value <= 0:
         return float("-inf")
-    if value.bit_length() <= 900:
-        return log10(value)
-    return value.bit_length() * 0.30102999566398120
+    shift = max(value.bit_length() - 900, 0)
+    return log10(value >> shift) + shift * log10(2)
+
+
+class DeferredCount:
+    """A version space's Figure 11(a) count, left uncomputed until read.
+
+    Holds the backend and the structure it learned; the exact count is a
+    bignum walk that most callers never read.  ``more_than_one`` answers
+    :attr:`SynthesisResult.ambiguous` through the backend's optional
+    ``is_ambiguous`` (a count capped at 2) when it has one.
+    """
+
+    __slots__ = ("backend", "structure")
+
+    def __init__(self, backend: Any, structure: Any) -> None:
+        self.backend = backend
+        self.structure = structure
+
+    def exact(self) -> int:
+        return self.backend.count_expressions(self.structure)
+
+    def more_than_one(self) -> bool:
+        is_ambiguous = getattr(self.backend, "is_ambiguous", None)
+        if is_ambiguous is None:
+            return self.exact() > 1
+        return is_ambiguous(self.structure)
 
 
 def as_task(task: "SynthesisTask | Sequence[Tuple[Sequence[str], str]]") -> "SynthesisTask":
@@ -108,7 +136,7 @@ class RankedProgram:
         yield self.program
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SynthesisResult:
     """Everything :meth:`repro.api.Synthesizer.synthesize` learned.
 
@@ -116,22 +144,70 @@ class SynthesisResult:
         task: the task that was solved.
         language: canonical backend name ("semantic", "lookup", "syntactic").
         programs: ranked candidates, best first (never empty).
-        consistent_count: number of consistent expressions (Figure 11(a)).
+        consistent_count: number of consistent expressions (Figure 11(a)),
+            computed on first read: it can be a bignum of millions of bits
+            that the learn loop never needs.  ``consistent_count=`` takes
+            the int or a :class:`DeferredCount`; after the first read the
+            result keeps only the int, not the version space.
         structure_size: version-space structure size (Figure 11(b)).
         elapsed_seconds: wall-clock time of the synthesize call.
         phase_seconds: wall-clock per phase -- ``"generate"`` (GenerateStr
-            over every example), ``"intersect"`` (the smallest-first fold)
-            and ``"rank"`` (candidate extraction plus the Figure 11
-            metrics).  ``repro learn --profile`` prints it.
+            over every example), ``"intersect"`` (the smallest-first fold),
+            ``"rank"`` (candidate extraction) and ``"measure"`` (the
+            structure size; the count is not taken here).
+            ``repro learn --profile`` prints it.
     """
 
     task: SynthesisTask
     language: str
     programs: Tuple[RankedProgram, ...]
-    consistent_count: int
     structure_size: int
     elapsed_seconds: float
     phase_seconds: Optional[Dict[str, float]] = None
+    _count: Union[int, DeferredCount] = field(default=0, repr=False, compare=False)
+
+    def __init__(
+        self,
+        task: SynthesisTask,
+        language: str,
+        programs: Tuple[RankedProgram, ...],
+        consistent_count: Union[int, DeferredCount],
+        structure_size: int,
+        elapsed_seconds: float,
+        phase_seconds: Optional[Dict[str, float]] = None,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "task", task)
+        set_field(self, "language", language)
+        set_field(self, "programs", programs)
+        set_field(self, "structure_size", structure_size)
+        set_field(self, "elapsed_seconds", elapsed_seconds)
+        set_field(self, "phase_seconds", phase_seconds)
+        set_field(self, "_count", consistent_count)
+
+    @property
+    def consistent_count(self) -> int:
+        """Number of consistent expressions (Figure 11(a)), on first read."""
+        count = self._count
+        if isinstance(count, DeferredCount):
+            count = count.exact()
+            object.__setattr__(self, "_count", count)
+        return count
+
+    def __reduce__(self):
+        """Pickle with the exact count, never the version space."""
+        return (
+            SynthesisResult,
+            (
+                self.task,
+                self.language,
+                self.programs,
+                self.consistent_count,
+                self.structure_size,
+                self.elapsed_seconds,
+                self.phase_seconds,
+            ),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -149,9 +225,13 @@ class SynthesisResult:
         """More than one expression is still consistent with the examples.
 
         When true, §3.2's interaction model suggests showing the user a
-        distinguishing input (see :meth:`ambiguous_rows`).
+        distinguishing input (see :meth:`ambiguous_rows`).  Never runs the
+        exact count: a count capped at 2 answers it.
         """
-        return self.consistent_count > 1
+        count = self._count
+        if isinstance(count, DeferredCount):
+            return count.more_than_one()
+        return count > 1
 
     # ------------------------------------------------------------------
     def fill(self, rows: Sequence[Sequence[str]]) -> List[Optional[str]]:

@@ -145,7 +145,7 @@ def build_learn_parser(prog: str = "repro learn") -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print per-phase wall-clock (generate / intersect / rank) to stderr",
+        help="print per-phase wall-clock (generate / intersect / rank / measure) to stderr",
     )
     return parser
 
@@ -508,7 +508,7 @@ def _cmd_learn(argv: Sequence[str], prog: str = "repro learn") -> int:
             phases = result.phase_seconds or {}
             rendered = " | ".join(
                 f"{phase} {phases.get(phase, 0.0):.4f}s"
-                for phase in ("generate", "intersect", "rank")
+                for phase in ("generate", "intersect", "rank", "measure")
             )
             print(
                 f"profile: {rendered} | total {result.elapsed_seconds:.4f}s",

@@ -16,7 +16,7 @@ predicates uniformly hold expressions; the input variable is the shared
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Set, Tuple
 
 from repro.core.base import EvalResult, Expression, InputState
 
@@ -121,3 +121,22 @@ class Select(Expression):
             )
             return f"Select({self.column}, {self.table}, {condition} ≈[{tags}])"
         return f"Select({self.column}, {self.table}, {condition})"
+
+
+def expression_tables(expr: Expression) -> Set[str]:
+    """Tables used anywhere inside ``expr`` (for the self-join penalty)."""
+    if isinstance(expr, Select):
+        tables: Set[str] = {expr.table}
+        for _, sub in expr.predicates:
+            tables |= expression_tables(sub)
+        return tables
+    parts = getattr(expr, "parts", None)
+    if parts is not None:
+        tables = set()
+        for part in parts:
+            tables |= expression_tables(part)
+        return tables
+    source = getattr(expr, "source", None)
+    if source is not None:
+        return expression_tables(source)
+    return set()

@@ -2,9 +2,9 @@
 
 The paper defines a partial order; we realize it as a compositional cost
 model (see :class:`repro.config.RankingWeights`) and extract the cheapest
-concrete expression by dynamic programming over (node, depth budget) --
-the same k-bounded denotation used by :mod:`measure`, so extraction always
-terminates even on self-referential stores.
+concrete expression by the tropical fold of :mod:`repro.lookup.circuit`
+over (node, depth budget) -- the same k-bounded denotation counting uses,
+so extraction always terminates even on self-referential stores.
 
 Per §4.4 the extractor prefers: smaller depth (every Select adds
 ``select_base`` and deeper budgets are only used when they pay), predicates
@@ -15,38 +15,15 @@ when a predicate's chosen sub-expression already uses the parent's table).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.core.base import Expression
 from repro.core.exprs import Var
-from repro.lookup.ast import Select
-from repro.lookup.dstruct import GenPredicate, GenSelect, NodeStore, VarEntry
+from repro.lookup.ast import Select, expression_tables  # noqa: F401 -- re-exported
+from repro.lookup.circuit import Circuit, Ranked
+from repro.lookup.dstruct import NodeStore, VarEntry
 from repro.syntactic.ast import ConstStr
-
-Ranked = Tuple[float, Expression]
-#: ``dag_extractor(dag, node_best)`` ranks a dag-valued predicate, where
-#: ``node_best(node)`` gives the referenced node's best at reduced budget.
-DagExtractor = Callable[[object, Callable[[int], Optional[Ranked]]], Optional[Ranked]]
-
-
-def expression_tables(expr: Expression) -> Set[str]:
-    """Tables used anywhere inside ``expr`` (for the self-join penalty)."""
-    if isinstance(expr, Select):
-        tables: Set[str] = {expr.table}
-        for _, sub in expr.predicates:
-            tables |= expression_tables(sub)
-        return tables
-    parts = getattr(expr, "parts", None)
-    if parts is not None:
-        tables = set()
-        for part in parts:
-            tables |= expression_tables(part)
-        return tables
-    source = getattr(expr, "source", None)
-    if source is not None:
-        return expression_tables(source)
-    return set()
 
 
 def expression_columns(expr: Expression) -> Set[Tuple[str, str]]:
@@ -95,151 +72,24 @@ def expression_confidence(expr: Expression) -> float:
     return confidence
 
 
-class Extractor:
-    """Budget-bounded best-expression DP over a node store."""
-
-    def __init__(
-        self,
-        store: NodeStore,
-        config: SynthesisConfig = DEFAULT_CONFIG,
-        dag_extractor: Optional[DagExtractor] = None,
-    ) -> None:
-        self.store = store
-        self.config = config
-        self.dag_extractor = dag_extractor
-        self._memo: Dict[Tuple[int, int], Optional[Ranked]] = {}
-
-    # ------------------------------------------------------------------
-    def best_node(self, node: int, budget: Optional[int] = None) -> Optional[Ranked]:
-        if budget is None:
-            budget = self.store.depth_limit
-        key = (node, budget)
-        if key in self._memo:
-            return self._memo[key]
-        # Break self-recursion pessimistically during computation: a cyclic
-        # reference at the same budget cannot improve a positive-cost min.
-        self._memo[key] = None
-        champion: Optional[Ranked] = None
-        weights = self.config.weights
-        for entry in self.store.progs[node]:
-            if isinstance(entry, VarEntry):
-                candidate: Optional[Ranked] = (weights.var_expr, Var(entry.index))
-            elif budget > 0:
-                candidate = self._rank_select(entry, budget)
-            else:
-                candidate = None
-            if candidate is None:
-                continue
-            if champion is None or (candidate[0], str(candidate[1])) < (
-                champion[0],
-                str(champion[1]),
-            ):
-                champion = candidate
-        self._memo[key] = champion
-        return champion
-
-    def _rank_select(self, entry: GenSelect, budget: int) -> Optional[Ranked]:
-        weights = self.config.weights
-        champion: Optional[Ranked] = None
-        for predicates in entry.cond.keys:
-            total = weights.select_base
-            pairs: List[Tuple[str, Expression]] = []
-            provenance: List[Tuple[str, str, float]] = []
-            feasible = True
-            for predicate in predicates:
-                choice = self._rank_predicate(predicate, entry.table, budget)
-                if choice is None:
-                    feasible = False
-                    break
-                cost, expr, approx = choice
-                total += cost
-                pairs.append((predicate.column, expr))
-                if approx is not None:
-                    provenance.append((predicate.column, approx[0], approx[1]))
-            if not feasible:
-                continue
-            candidate = (
-                total,
-                Select(
-                    entry.column,
-                    entry.table,
-                    pairs,
-                    match_provenance=provenance or None,
-                ),
-            )
-            if champion is None or (candidate[0], str(candidate[1])) < (
-                champion[0],
-                str(champion[1]),
-            ):
-                champion = candidate
-        return champion
-
-    def _rank_predicate(
-        self, predicate: GenPredicate, parent_table: str, budget: int
-    ) -> Optional[Tuple[float, Expression, Optional[Tuple[str, float]]]]:
-        """Best right-hand side for one predicate.
-
-        Returns ``(cost, expression, approx)`` where ``approx`` is the
-        ``(strategy, confidence)`` matcher provenance when the chosen
-        option is an approximately-bound node, else ``None``.
-        """
-        weights = self.config.weights
-        champion: Optional[Tuple[float, Expression, Optional[Tuple[str, float]]]] = None
-        if predicate.dag is not None:
-            if self.dag_extractor is None:
-                raise ValueError("dag-valued predicate needs a dag_extractor")
-            ranked = self.dag_extractor(
-                predicate.dag, lambda node: self.best_node(node, budget - 1)
-            )
-            if ranked is None:
-                return None
-            cost, expr = ranked
-            if parent_table in expression_tables(expr):
-                cost += weights.self_join_penalty
-            return (cost, expr, None)
-        if predicate.node is not None:
-            ranked = self.best_node(predicate.node, budget - 1)
-            if ranked is not None:
-                cost = weights.node_predicate + ranked[0]
-                if parent_table in expression_tables(ranked[1]):
-                    cost += weights.self_join_penalty
-                approx: Optional[Tuple[str, float]] = None
-                if predicate.node_confidence < 1.0:
-                    # Approximately-bound nodes pay for their uncertainty,
-                    # so exact programs always rank strictly first.
-                    cost += weights.approx_predicate * (1.0 - predicate.node_confidence)
-                    approx = (predicate.node_strategy, predicate.node_confidence)
-                champion = (cost, ranked[1], approx)
-        if predicate.constant is not None:
-            if champion is None or weights.const_predicate < champion[0]:
-                champion = (weights.const_predicate, ConstStr(predicate.constant), None)
-        return champion
-
-
 def best_expressions(
-    store: NodeStore,
-    config: SynthesisConfig = DEFAULT_CONFIG,
-    dag_extractor: Optional[DagExtractor] = None,
+    store: NodeStore, config: SynthesisConfig = DEFAULT_CONFIG
 ) -> Dict[int, Ranked]:
     """Cheapest concrete expression per node (nodes with none are absent)."""
-    extractor = Extractor(store, config, dag_extractor)
+    fold = Circuit(store, None, config.weights).ranking()
     result: Dict[int, Ranked] = {}
     for node in range(len(store.vals)):
-        ranked = extractor.best_node(node)
+        ranked = fold.node(node, store.depth_limit)
         if ranked is not None:
             result[node] = ranked
     return result
 
 
 def best_expression(
-    store: NodeStore,
-    config: SynthesisConfig = DEFAULT_CONFIG,
-    dag_extractor: Optional[DagExtractor] = None,
+    store: NodeStore, config: SynthesisConfig = DEFAULT_CONFIG
 ) -> Optional[Ranked]:
     """The top-ranked expression for the store's target node."""
-    if store.target is None:
-        return None
-    return Extractor(store, config, dag_extractor).best_node(store.target)
+    return Circuit(store, None, config.weights).best()
 
 
 def enumerate_expressions(

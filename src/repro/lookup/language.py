@@ -9,6 +9,7 @@ from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.core.base import Expression, InputState
 from repro.core.formalism import LanguageAdapter
 from repro.lookup.dstruct import NodeStore
+from repro.lookup.circuit import Circuit
 from repro.lookup.extract import best_expression, enumerate_expressions
 from repro.lookup.generate import generate_lookup
 from repro.lookup.intersect import intersect_lookup
@@ -56,6 +57,10 @@ class LookupLanguage:
     def count_expressions(self, store: NodeStore) -> int:
         """Number of concrete Lt expressions consistent with the examples."""
         return count_expressions(store)
+
+    def is_ambiguous(self, store: NodeStore) -> bool:
+        """More than one consistent expression, without the exact count."""
+        return Circuit(store, None).count(cap=2) > 1
 
     def structure_size(self, store: NodeStore) -> int:
         """Terminal-symbol size of Dt."""

@@ -17,107 +17,22 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lookup.dstruct import GenPredicate, GenSelect, NodeStore, VarEntry
-
-#: ``dag_counter(dag, node_counter)`` -> int, where ``node_counter(node)``
-#: counts a referenced node at the already-decremented budget.
-DagCounter = Callable[[object, Callable[[int], int]], int]
+from repro.lookup.circuit import Circuit
+from repro.lookup.dstruct import NodeStore
 
 
-def count_expressions(
-    store: NodeStore,
-    node: Optional[int] = None,
-    dag_counter: Optional[DagCounter] = None,
-) -> int:
-    """|[[store]]| rooted at ``node`` (default: the target), depth-bounded."""
-    root = store.target if node is None else node
-    if root is None:
-        return 0
-    memo: Dict[Tuple[int, int], int] = {}
-
-    def count_node(current: int, budget: int) -> int:
-        key = (current, budget)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for entry in store.progs[current]:
-            if isinstance(entry, VarEntry):
-                total += 1
-                continue
-            if budget <= 0:
-                continue
-            for predicates in entry.cond.keys:
-                key_total = 1
-                for predicate in predicates:
-                    options = 0
-                    if predicate.dag is not None:
-                        if dag_counter is None:
-                            raise ValueError("dag-valued predicate needs a dag_counter")
-                        options += dag_counter(
-                            predicate.dag,
-                            lambda referenced: count_node(referenced, budget - 1),
-                        )
-                    else:
-                        if predicate.constant is not None:
-                            options += 1
-                        if predicate.node is not None:
-                            options += count_node(predicate.node, budget - 1)
-                    key_total *= options
-                    if key_total == 0:
-                        break
-                total += key_total
-        memo[key] = total
-        return total
-
-    return count_node(root, store.depth_limit)
+def count_expressions(store: NodeStore) -> int:
+    """|[[store]]| rooted at the target, depth-bounded."""
+    return Circuit(store, None).count()
 
 
-def structure_size(
-    store: NodeStore,
-    dag_sizer: Optional[Callable[[object], int]] = None,
-    roots: Optional[Iterable[int]] = None,
-) -> int:
+def structure_size(store: NodeStore, roots: Optional[Iterable[int]] = None) -> int:
     """Figure 11(b) metric: terminal symbols, shared components once.
 
     ``roots`` restricts accounting to nodes reachable from the given roots
     (default: every node in the store, matching the structure as built).
     """
-    if roots is None:
-        alive: Set[int] = set(range(len(store.vals)))
-    else:
-        alive = store.reachable_from(roots)
-    size = 0
-    seen_conditions: Set[int] = set()
-    seen_dags: Set[int] = set()
-    for node in alive:
-        for entry in store.progs[node]:
-            if isinstance(entry, VarEntry):
-                size += 1
-                continue
-            size += 2  # the column and table symbols of the Select
-            condition_id = id(entry.cond)
-            if condition_id in seen_conditions:
-                continue
-            seen_conditions.add(condition_id)
-            for predicates in entry.cond.keys:
-                for predicate in predicates:
-                    size += 1  # the key-column symbol
-                    if predicate.dag is not None:
-                        dag_id = id(predicate.dag)
-                        if dag_id not in seen_dags:
-                            seen_dags.add(dag_id)
-                            if dag_sizer is None:
-                                raise ValueError(
-                                    "dag-valued predicate needs a dag_sizer"
-                                )
-                            size += dag_sizer(predicate.dag)
-                        continue
-                    if predicate.constant is not None:
-                        size += 1
-                    if predicate.node is not None:
-                        size += 1
-    return size
+    return Circuit(store, None).size(roots)
 
 
 def strongly_connected_components(

@@ -16,11 +16,14 @@ across rows keyed by the same string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 from repro.lookup.dstruct import NodeStore
 from repro.syntactic.dag import Dag
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lookup.circuit import Circuit
 
 
 @dataclass
@@ -29,6 +32,9 @@ class SemanticStructure:
 
     store: NodeStore
     dag: Dag
+    #: The ranking circuit (``repro.semantic.extract.structure_circuit``):
+    #: best and top-k extraction of this structure share its memo.
+    circuit: Optional["Circuit"] = field(default=None, repr=False, compare=False)
 
     @property
     def depth_limit(self) -> int:

@@ -3,93 +3,49 @@
 The §5.4 preferences extend §4.4's: prefer lookup expressions that index
 with longer matched strings (fewer dag edges through the per-edge base
 cost), fewer constant expressions (length-scaled constant costs), and
-longer generated outputs.  Extraction composes the lookup extractor with
-dag best-path search; the mutual recursion is budget-bounded exactly like
-counting, so it terminates on self-referential structures.
+longer generated outputs.  Extraction is the tropical fold of
+:mod:`repro.lookup.circuit` over node store and dags together; the mutual
+recursion is budget-bounded exactly like counting, so it terminates on
+self-referential structures.
 """
 
 from __future__ import annotations
 
 from itertools import product as cartesian_product
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.core.base import Expression
 from repro.core.exprs import Var
 from repro.lookup.ast import Select
-from repro.lookup.dstruct import GenSelect, NodeStore, VarEntry
-from repro.lookup.extract import Extractor, Ranked, expression_tables
+from repro.lookup.circuit import Circuit
+from repro.lookup.dstruct import VarEntry
 from repro.semantic.dstruct import SemanticStructure
-from repro.syntactic.ast import ConstStr, SubStr
-from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom, SubStrAtom
-from repro.syntactic.language import assemble_concatenation
-from repro.syntactic.positions import (
-    best_position_expr,
-    enumerate_position_exprs,
-    position_expr_cost as _position_cost,
-)
+from repro.syntactic.ast import ConstStr, SubStr, assemble_concatenation
+from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom
+from repro.syntactic.positions import enumerate_position_exprs
 
 
-class SemanticExtractor:
-    """Best-program extraction for Du."""
+def structure_circuit(
+    structure: SemanticStructure, config: SynthesisConfig = DEFAULT_CONFIG
+) -> Circuit:
+    """The circuit attached to ``structure`` for ``config``'s weights.
 
-    def __init__(
-        self, structure: SemanticStructure, config: SynthesisConfig = DEFAULT_CONFIG
-    ) -> None:
-        self.structure = structure
-        self.config = config
-        self.weights = config.weights
-        self.node_extractor = Extractor(
-            structure.store, config, dag_extractor=self._extract_dag
-        )
-
-    # -- atoms -----------------------------------------------------------
-    def _atom_best(
-        self, atom: Atom, node_best: Callable[[int], Optional[Ranked]]
-    ) -> Optional[Ranked]:
-        weights = self.weights
-        if isinstance(atom, ConstAtom):
-            cost = weights.const_atom_base + weights.const_atom_per_char * len(
-                atom.text
-            )
-            return (cost, ConstStr(atom.text))
-        ranked = node_best(atom.source)
-        if ranked is None:
-            return None
-        if isinstance(atom, RefAtom):
-            return (weights.ref_atom + ranked[0], ranked[1])
-        cost1, p1 = best_position_expr(atom.p1, weights)
-        cost2, p2 = best_position_expr(atom.p2, weights)
-        cost = weights.substr_atom + ranked[0] + cost1 + cost2
-        return (cost, SubStr(ranked[1], p1, p2))
-
-    # -- dags --------------------------------------------------------------
-    def _extract_dag(
-        self, dag: Dag, node_best: Callable[[int], Optional[Ranked]]
-    ) -> Optional[Ranked]:
-        result = dag.best_path(
-            lambda atom: self._atom_best(atom, node_best),
-            self.weights.edge_base,
-        )
-        if result is None:
-            return None
-        cost, parts = result
-        return (cost, assemble_concatenation(parts))
-
-    # -- entry point ---------------------------------------------------------
-    def best_program(self) -> Optional[Ranked]:
-        budget = self.structure.store.depth_limit
-        return self._extract_dag(
-            self.structure.dag,
-            lambda node: self.node_extractor.best_node(node, budget),
-        )
+    Held on the structure, so the best program and the top-k programs of
+    one structure share one ranking memo, which lives and dies with it.
+    """
+    circuit = structure.circuit
+    if circuit is None or circuit.weights != config.weights:
+        circuit = Circuit(structure.store, structure.dag, config.weights)
+        structure.circuit = circuit
+    return circuit
 
 
 def best_program(
     structure: SemanticStructure, config: SynthesisConfig = DEFAULT_CONFIG
 ) -> Optional[Expression]:
     """The top-ranked Lu program, or ``None`` when the structure is empty."""
-    ranked = SemanticExtractor(structure, config).best_program()
+    ranked = structure_circuit(structure, config).best()
     if ranked is None:
         return None
     return ranked[1]
@@ -102,91 +58,9 @@ def top_k_programs(
 ) -> List[Tuple[float, Expression]]:
     """The k cheapest distinct Lu programs, best first (§3.2's top-k view).
 
-    Diversity comes from the top dag: alternative path decompositions and
-    alternative atoms per edge, each expanded with up to k position
-    choices; node references use their single best expression (deeper
-    alternatives explode combinatorially without changing behaviour on
-    the examples).  Results are deduplicated by rendered program text.
+    See :meth:`repro.lookup.circuit.Circuit.top`.
     """
-    if k <= 0:
-        return []
-    extractor = SemanticExtractor(structure, config)
-    weights = config.weights
-    budget = structure.store.depth_limit
-    node_best = lambda node: extractor.node_extractor.best_node(node, budget)  # noqa: E731
-
-    def atom_options(atom: Atom) -> List[Tuple[float, Expression]]:
-        """Up to k ranked concrete expressions for one atom."""
-        if isinstance(atom, ConstAtom):
-            cost = weights.const_atom_base + weights.const_atom_per_char * len(
-                atom.text
-            )
-            return [(cost, ConstStr(atom.text))]
-        ranked = node_best(atom.source)
-        if ranked is None:
-            return []
-        if isinstance(atom, RefAtom):
-            return [(weights.ref_atom + ranked[0], ranked[1])]
-        from repro.syntactic.positions import enumerate_position_exprs
-
-        options: List[Tuple[float, Expression]] = []
-        base = weights.substr_atom + ranked[0]
-        for p1 in enumerate_position_exprs(atom.p1):
-            for p2 in enumerate_position_exprs(atom.p2):
-                cost = base + _position_cost(p1, weights) + _position_cost(p2, weights)
-                options.append((cost, SubStr(ranked[1], p1, p2)))
-                if len(options) >= k:
-                    return options
-        return options
-
-    dag = structure.dag
-    if dag.is_trivial_empty:
-        return [(0.0, ConstStr(""))]
-
-    # DP: k cheapest (cost, parts) suffixes per dag node, in reverse
-    # topological order.
-    suffixes: Dict[int, List[Tuple[float, Tuple[Expression, ...]]]] = {
-        dag.target: [(0.0, ())]
-    }
-    for node in reversed(dag.topological_order()):
-        if node == dag.target:
-            continue
-        candidates: List[Tuple[float, Tuple[Expression, ...]]] = []
-        for successor in dag.out_neighbors()[node]:
-            tails = suffixes.get(successor)
-            if not tails:
-                continue
-            options = dag.edges.get((node, successor))
-            if not options:
-                continue
-            edge_choices: List[Tuple[float, Expression]] = []
-            for atom in options:
-                edge_choices.extend(atom_options(atom))
-            edge_choices.sort(key=lambda pair: pair[0])
-            for cost, expr in edge_choices[: k * 2]:
-                for tail_cost, tail in tails:
-                    candidates.append(
-                        (weights.edge_base + cost + tail_cost, (expr,) + tail)
-                    )
-        candidates.sort(key=lambda pair: pair[0])
-        if candidates:
-            suffixes[node] = candidates[: k * 2]
-    ranked_paths = suffixes.get(dag.source, [])
-
-    results: List[Tuple[float, Expression]] = []
-    seen: set = set()
-    for cost, parts in ranked_paths:
-        program = assemble_concatenation(list(parts))
-        key = str(program)
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append((cost, program))
-        if len(results) >= k:
-            break
-    return results
-
-
+    return structure_circuit(structure, config).top(k)
 
 
 def enumerate_programs(

@@ -9,6 +9,7 @@ from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.core.base import Expression, InputState
 from repro.core.formalism import LanguageAdapter
 from repro.semantic.dstruct import SemanticStructure
+from repro.lookup.circuit import Circuit
 from repro.semantic.extract import best_program, enumerate_programs, top_k_programs
 from repro.semantic.generate import generate_semantic
 from repro.semantic.intersect import intersect_semantic
@@ -56,6 +57,10 @@ class SemanticLanguage:
     def count_expressions(self, structure: SemanticStructure) -> int:
         """Figure 11(a): number of consistent Lu expressions."""
         return count_expressions(structure)
+
+    def is_ambiguous(self, structure: SemanticStructure) -> bool:
+        """More than one consistent expression, without the exact count."""
+        return Circuit(structure.store, structure.dag).count(cap=2) > 1
 
     def structure_size(self, structure: SemanticStructure) -> int:
         """Figure 11(b): terminal-symbol size of Du."""

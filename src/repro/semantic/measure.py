@@ -3,91 +3,29 @@
 Counting follows the k-bounded denotation (see
 :mod:`repro.lookup.measure`): a select consumes one unit of nesting budget,
 and dags do not (they are syntactic glue).  The mutual recursion
-node -> select -> predicate dag -> node is memoized on (node, budget), so
-the whole count is polynomial in the structure size -- the numbers
-themselves are the astronomical ones of Figure 11(a) (Python integers).
+node -> select -> predicate dag -> node is memoized on (node, budget) by
+:mod:`repro.lookup.circuit`, so the whole count is polynomial in the
+structure size -- the numbers themselves are the astronomical ones of
+Figure 11(a) (Python integers).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
-
-from repro.lookup.dstruct import GenSelect, NodeStore, VarEntry
-from repro.lookup.measure import structure_size as lookup_structure_size
+from repro.lookup.circuit import Circuit
 from repro.semantic.dstruct import SemanticStructure
-from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom, SubStrAtom
-from repro.syntactic.positions import count_position_exprs, position_set_size
+from repro.syntactic.dag import Dag
 
 
 def count_expressions(structure: SemanticStructure) -> int:
     """|[[Du]]|: the Figure 11(a) metric."""
-    store = structure.store
-    memo: Dict[Tuple[int, int], int] = {}
-
-    def count_node(node: int, budget: int) -> int:
-        key = (node, budget)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        memo[key] = 0  # break same-budget self-reference defensively
-        total = 0
-        for entry in store.progs[node]:
-            if isinstance(entry, VarEntry):
-                total += 1
-                continue
-            if budget <= 0:
-                continue
-            for predicates in entry.cond.keys:
-                key_total = 1
-                for predicate in predicates:
-                    if predicate.dag is None:
-                        options = (1 if predicate.constant is not None else 0) + (
-                            count_node(predicate.node, budget - 1)
-                            if predicate.node is not None
-                            else 0
-                        )
-                    else:
-                        options = count_dag(predicate.dag, budget - 1)
-                    key_total *= options
-                    if key_total == 0:
-                        break
-                total += key_total
-        memo[key] = total
-        return total
-
-    def count_dag(dag: Dag, budget: int) -> int:
-        return dag.count_paths(lambda atom: count_atom(atom, budget))
-
-    def count_atom(atom: Atom, budget: int) -> int:
-        if isinstance(atom, ConstAtom):
-            return 1
-        if isinstance(atom, RefAtom):
-            return count_node(atom.source, budget)
-        return (
-            count_node(atom.source, budget)
-            * count_position_exprs(atom.p1)
-            * count_position_exprs(atom.p2)
-        )
-
-    return count_dag(structure.dag, store.depth_limit)
-
-
-def atom_size(atom: Atom) -> int:
-    """Terminal symbols of one dag atom."""
-    if isinstance(atom, ConstAtom):
-        return 1
-    if isinstance(atom, RefAtom):
-        return 1
-    return 1 + position_set_size(atom.p1) + position_set_size(atom.p2)
+    return Circuit(structure.store, structure.dag).count()
 
 
 def dag_size(dag: Dag) -> int:
     """Terminal symbols of one dag."""
-    return dag.structure_size(atom_size)
+    return Circuit(None, dag).size()
 
 
 def structure_size(structure: SemanticStructure) -> int:
     """The Figure 11(b) metric: node store + top dag, shared parts once."""
-    return lookup_structure_size(structure.store, dag_sizer=dag_size) + dag_size(
-        structure.dag
-    )
+    return Circuit(structure.store, structure.dag).size()

@@ -718,6 +718,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     #: Socket timeout (socketserver honors it): a client stalling
     #: mid-request must not tie up a handler thread forever.
     timeout = 60
+    #: TCP_NODELAY on every accepted connection.  A reply goes out as two
+    #: sends (headers, then body); with Nagle's algorithm on, the body
+    #: waits for the client's delayed ACK, about 40 ms per keep-alive reply.
+    disable_nagle_algorithm = True
 
     # The server instance carries the service + api (see create_server).
     @property

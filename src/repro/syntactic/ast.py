@@ -188,6 +188,15 @@ class Concatenate(Expression):
         return "Concatenate({})".format(", ".join(str(p) for p in self.parts))
 
 
+def assemble_concatenation(parts: Sequence[Expression]) -> Expression:
+    """Top-level expression from chosen atomic parts (es := Concatenate | f)."""
+    if not parts:
+        return ConstStr("")
+    if len(parts) == 1:
+        return parts[0]
+    return Concatenate(parts)
+
+
 def substr2(source: Expression, token_name: str, c: int) -> SubStr:
     """The paper's ``SubStr2(e, τ, c)`` sugar: the c-th occurrence of τ.
 

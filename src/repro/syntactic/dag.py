@@ -12,10 +12,10 @@ Edges carry *generalized atomic expressions*:
 * :class:`SubStrAtom` -- substrings of a source with generalized position
   sets on both ends.
 
-What a "source" means is deliberately abstract: every measure/extraction
-function takes callbacks to resolve source ids, so the same Dag code
-serves both Ls (sources = variables) and Lu (sources = lookup nodes with
-their own nested version spaces).
+What a "source" means is deliberately abstract: the measures and the
+extraction (:mod:`repro.lookup.circuit`) resolve source ids, so the same
+Dag serves both Ls (sources = variables) and Lu (sources = lookup nodes
+with their own nested version spaces).
 """
 
 from __future__ import annotations
@@ -189,75 +189,6 @@ class Dag:
         return False
 
     # ------------------------------------------------------------------
-    def count_paths(self, atom_count: Callable[[Atom], int]) -> int:
-        """Number of concrete expressions represented (Figure 11(a) metric).
-
-        ``atom_count`` resolves the number of concrete expressions an atom
-        denotes (1 for constants; position-set products times the source's
-        own count for substrings/references).
-        """
-        if self.is_trivial_empty:
-            return 1
-        ways: Dict[int, int] = {node: 0 for node in self.nodes}
-        ways[self.target] = 1
-        out = self.out_neighbors()
-        for node in reversed(self.topological_order()):
-            if node == self.target:
-                continue
-            total = 0
-            for successor in out[node]:
-                options = self.edges.get((node, successor))
-                if not options:
-                    continue
-                edge_total = sum(atom_count(atom) for atom in options)
-                total += edge_total * ways[successor]
-            ways[node] = total
-        return ways[self.source]
-
-    def structure_size(self, atom_size: Callable[[Atom], int]) -> int:
-        """Terminal-symbol size of the dag (Figure 11(b) metric)."""
-        return sum(
-            atom_size(atom) for options in self.edges.values() for atom in options
-        )
-
-    def best_path(
-        self,
-        atom_best: Callable[[Atom], Optional[Tuple[float, object]]],
-        edge_base: float,
-    ) -> Optional[Tuple[float, List[object]]]:
-        """Cheapest source→target path under the ranking cost model.
-
-        ``atom_best`` returns (cost, concrete expression) for an atom, or
-        ``None`` when the atom is currently unrealizable (e.g. its source
-        node became empty after intersection).  Returns (total cost, list
-        of concrete atomic expressions along the path).
-        """
-        if self.is_trivial_empty:
-            return (0.0, [])
-        best: Dict[int, Tuple[float, List[object]]] = {self.target: (0.0, [])}
-        out = self.out_neighbors()
-        for node in reversed(self.topological_order()):
-            if node == self.target:
-                continue
-            champion: Optional[Tuple[float, List[object]]] = None
-            for successor in out[node]:
-                tail = best.get(successor)
-                if tail is None:
-                    continue
-                options = self.edges.get((node, successor))
-                if not options:
-                    continue
-                for atom in options:
-                    resolved = atom_best(atom)
-                    if resolved is None:
-                        continue
-                    cost = edge_base + resolved[0] + tail[0]
-                    if champion is None or cost < champion[0]:
-                        champion = (cost, [resolved[1]] + tail[1])
-            if champion is not None:
-                best[node] = champion
-        return best.get(self.source)
-
     def enumerate_paths(self, limit: int = 100000) -> Iterator[List[Edge]]:
         """Yield source→target paths as edge lists (bounded by ``limit``)."""
         if self.is_trivial_empty:

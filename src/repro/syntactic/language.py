@@ -9,32 +9,18 @@ nodes as sources (see :mod:`repro.semantic`).
 from __future__ import annotations
 
 from itertools import product as cartesian_product
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional
 
 from repro.api.registry import register_backend
 from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.core.base import Expression, InputState
 from repro.core.exprs import Var
 from repro.core.formalism import LanguageAdapter
-from repro.syntactic.ast import Concatenate, ConstStr, SubStr
-from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom, SubStrAtom
+from repro.syntactic.ast import ConstStr, SubStr, assemble_concatenation
+from repro.syntactic.dag import Atom, ConstAtom, Dag, RefAtom
 from repro.syntactic.generate import generate_dag
 from repro.syntactic.intersect import equal_source_merge, intersect_dags
-from repro.syntactic.positions import (
-    best_position_expr,
-    count_position_exprs,
-    enumerate_position_exprs,
-    position_set_size,
-)
-
-
-def assemble_concatenation(parts: Sequence[Expression]) -> Expression:
-    """Top-level expression from chosen atomic parts (es := Concatenate | f)."""
-    if not parts:
-        return ConstStr("")
-    if len(parts) == 1:
-        return parts[0]
-    return Concatenate(parts)
+from repro.syntactic.positions import enumerate_position_exprs
 
 
 @register_backend("syntactic", "Ls")
@@ -72,44 +58,32 @@ class SyntacticLanguage:
             is_empty=self.is_empty,
         )
 
-    # -- measures (Figure 11 metrics) ------------------------------------
-    def _atom_count(self, atom: Atom) -> int:
-        if isinstance(atom, ConstAtom) or isinstance(atom, RefAtom):
-            return 1
-        return count_position_exprs(atom.p1) * count_position_exprs(atom.p2)
+    # -- measures (Figure 11 metrics) and ranking -----------------------
+    def _circuit(self, dag: Dag):
+        # Imported here: the circuit needs repro.lookup.dstruct, which
+        # imports this package.
+        from repro.lookup.circuit import Circuit
 
-    def _atom_size(self, atom: Atom) -> int:
-        if isinstance(atom, ConstAtom) or isinstance(atom, RefAtom):
-            return 1
-        return 1 + position_set_size(atom.p1) + position_set_size(atom.p2)
+        return Circuit(None, dag, self.config.weights)
 
     def count_expressions(self, dag: Dag) -> int:
         """Number of concrete Ls expressions the dag represents."""
-        return dag.count_paths(self._atom_count)
+        return self._circuit(dag).count()
+
+    def is_ambiguous(self, dag: Dag) -> bool:
+        """More than one consistent expression, without the exact count."""
+        return self._circuit(dag).count(cap=2) > 1
 
     def structure_size(self, dag: Dag) -> int:
         """Terminal-symbol size of the dag."""
-        return dag.structure_size(self._atom_size)
-
-    # -- ranking ----------------------------------------------------------
-    def _atom_best(self, atom: Atom) -> Optional[Tuple[float, Expression]]:
-        weights = self.config.weights
-        if isinstance(atom, ConstAtom):
-            cost = weights.const_atom_base + weights.const_atom_per_char * len(atom.text)
-            return (cost, ConstStr(atom.text))
-        if isinstance(atom, RefAtom):
-            return (weights.ref_atom + weights.var_expr, Var(atom.source))
-        cost1, p1 = best_position_expr(atom.p1, weights)
-        cost2, p2 = best_position_expr(atom.p2, weights)
-        cost = weights.substr_atom + weights.var_expr + cost1 + cost2
-        return (cost, SubStr(Var(atom.source), p1, p2))
+        return self._circuit(dag).size()
 
     def best_program(self, dag: Dag) -> Optional[Expression]:
         """The top-ranked Ls expression, or ``None`` when the dag is empty."""
-        result = dag.best_path(self._atom_best, self.config.weights.edge_base)
-        if result is None:
+        ranked = self._circuit(dag).best()
+        if ranked is None:
             return None
-        return assemble_concatenation(result[1])
+        return ranked[1]
 
     # -- enumeration (tests/inspection) -----------------------------------
     def _atom_exprs(self, atom: Atom, limit: int) -> List[Expression]:

@@ -436,5 +436,5 @@ class TestProfileFlag:
         captured = capsys.readouterr()
         assert "program: " in captured.out
         assert "profile: " in captured.err
-        for phase in ("generate", "intersect", "rank", "total"):
+        for phase in ("generate", "intersect", "rank", "measure", "total"):
             assert phase in captured.err

@@ -233,15 +233,7 @@ class TestServiceIntegration:
                     ))
                 ]
                 try:
-                    reply = service.learn(task, k=1)
-                    with publish_lock:
-                        snapshot = published.get(reply.catalog_fingerprint)
-                    if snapshot is None:
-                        errors.append(
-                            f"unpublished fingerprint {reply.catalog_fingerprint}"
-                        )
-                        continue
-                    observations.append((task[0], reply, snapshot))
+                    observations.append((task[0], service.learn(task, k=1)))
                 except Exception as error:  # noqa: BLE001 -- surface in main thread
                     errors.append(repr(error))
 
@@ -253,10 +245,17 @@ class TestServiceIntegration:
             thread.join()
         assert not errors, errors
         assert observations
+        # Fingerprints are checked once the writer has recorded every
+        # snapshot it appended: a learn may finish on a new snapshot
+        # between append_rows returning and the writer recording it.
         # Each observed result must equal a fresh single-catalog
         # Synthesizer over the snapshot its fingerprint names.
         verified = set()
-        for (inputs, output), reply, snapshot in observations:
+        for (inputs, output), reply in observations:
+            snapshot = published.get(reply.catalog_fingerprint)
+            assert snapshot is not None, (
+                f"unpublished fingerprint {reply.catalog_fingerprint}"
+            )
             key = (inputs, output, reply.catalog_fingerprint)
             if key in verified:
                 continue

@@ -1,6 +1,7 @@
 """Tests for the JSON HTTP API (ThreadingHTTPServer over SynthesisService)."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -151,6 +152,25 @@ class TestEndpoints:
         assert stats["requests"]["learn_requests"] == 2
         assert stats["request_cache"]["hits"] == 1
         assert stats["request_cache"]["misses"] == 1
+
+
+class TestTransport:
+    def test_accepted_connection_sets_tcp_nodelay(self, server, monkeypatch):
+        """Keep-alive replies must not wait for the client's delayed ACK."""
+        handler_class = server.RequestHandlerClass
+        setup = handler_class.setup
+        nodelay = []
+
+        def spying_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(handler_class, "setup", spying_setup)
+        status, _ = get(server, "/healthz")
+        assert status == 200
+        assert nodelay and all(nodelay)
 
 
 class TestErrors:

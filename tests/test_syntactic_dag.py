@@ -1,7 +1,14 @@
-"""Unit tests for the Dag data structure."""
+"""Unit tests for the Dag data structure and the reference dag walks.
+
+Counting, sizing and best-path search run through
+:mod:`repro.lookup.circuit`; the standalone walks in
+``reference_measures`` are its equivalence oracles, checked here.
+"""
 
 import pytest
 
+from reference_measures import best_path, count_paths, dag_structure_size
+from repro.lookup.circuit import Circuit
 from repro.syntactic.dag import ConstAtom, Dag, RefAtom
 
 
@@ -45,29 +52,37 @@ class TestBasics:
 class TestCountPaths:
     def test_two_paths(self):
         # Path 0-1-2 contributes 1*2 = 2; path 0-2 contributes 1.
-        assert linear_dag().count_paths(lambda atom: 1 if isinstance(atom, ConstAtom) else 1) == 3
+        assert count_paths(linear_dag(), lambda atom: 1 if isinstance(atom, ConstAtom) else 1) == 3
 
     def test_atom_multiplicity(self):
-        count = linear_dag().count_paths(
+        count = count_paths(linear_dag(),
             lambda atom: 5 if isinstance(atom, RefAtom) else 1
         )
         # 0-1-2: 1 * (1 + 5) = 6; 0-2: 1 -> total 7.
         assert count == 7
 
     def test_trivial_empty_counts_one(self):
-        assert Dag((0,), 0, 0, {}).count_paths(lambda atom: 1) == 1
+        assert count_paths(Dag((0,), 0, 0, {}), lambda atom: 1) == 1
 
     def test_unreachable_target_counts_zero(self):
         dag = Dag((0, 1, 2), 0, 2, {(0, 1): [ConstAtom("a")]})
-        assert dag.count_paths(lambda atom: 1) == 0
+        assert count_paths(dag, lambda atom: 1) == 0
+
+    def test_circuit_agrees(self):
+        # Ls semantics: a reference is one expression, so 3 as above.
+        assert Circuit(None, linear_dag()).count() == 3
+        assert Circuit(None, linear_dag()).count(cap=2) == 2
+        assert Circuit(None, Dag((0,), 0, 0, {})).count() == 1
+        assert Circuit(None, Dag((0, 1, 2), 0, 2, {(0, 1): [ConstAtom("a")]})).count() == 0
+        assert Circuit(None, linear_dag()).size() == 4
 
 
 class TestStructureSize:
     def test_sums_atom_sizes(self):
-        assert linear_dag().structure_size(lambda atom: 1) == 4
+        assert dag_structure_size(linear_dag(), lambda atom: 1) == 4
 
     def test_custom_sizer(self):
-        size = linear_dag().structure_size(
+        size = dag_structure_size(linear_dag(),
             lambda atom: len(atom.text) if isinstance(atom, ConstAtom) else 10
         )
         assert size == 1 + (1 + 10) + 2
@@ -80,7 +95,7 @@ class TestBestPath:
                 return (10.0, atom.text)
             return (1.0, "ref")
 
-        cost, parts = linear_dag().best_path(atom_best, edge_base=0.0)
+        cost, parts = best_path(linear_dag(), atom_best, edge_base=0.0)
         # 0-1-2 via ref: 10 + 1 = 11; 0-2 const: 10 -> shortcut wins.
         assert cost == 10.0
         assert parts == ["ab"]
@@ -89,7 +104,7 @@ class TestBestPath:
         def atom_best(atom):
             return (0.0, atom)
 
-        cost, parts = linear_dag().best_path(atom_best, edge_base=5.0)
+        cost, parts = best_path(linear_dag(), atom_best, edge_base=5.0)
         assert len(parts) == 1  # single-edge path
 
     def test_unrealizable_atoms_skipped(self):
@@ -98,11 +113,11 @@ class TestBestPath:
                 return None
             return (1.0, atom)
 
-        cost, parts = linear_dag().best_path(atom_best, edge_base=0.0)
+        cost, parts = best_path(linear_dag(), atom_best, edge_base=0.0)
         assert len(parts) == 2
 
     def test_none_when_nothing_realizable(self):
-        assert linear_dag().best_path(lambda atom: None, edge_base=0.0) is None
+        assert best_path(linear_dag(), lambda atom: None, edge_base=0.0) is None
 
 
 class TestEnumerateAndPrune:
@@ -160,5 +175,5 @@ class TestMemoizedTraversalCaches:
 
     def test_count_paths_unchanged_by_caching(self):
         dag = linear_dag()
-        first = dag.count_paths(lambda atom: 1)
-        assert dag.count_paths(lambda atom: 1) == first
+        first = count_paths(dag, lambda atom: 1)
+        assert count_paths(dag, lambda atom: 1) == first
