@@ -9,8 +9,9 @@ each against its naive oracle (``SynthesisConfig.without_indexes``):
   per-column inverted index vs full row scans,
 * ``dag_generation`` -- ``generate_dag``: per-source occurrence index vs
   repeated ``str.find`` (also reports ``cached_positions`` reuse),
-* ``worklist_pruning`` -- emptiness fixpoint: dependency-driven worklist
-  vs repeated full-node sweeps.
+* ``worklist_pruning`` -- emptiness fixpoint: counter-driven propagation
+  vs repeated full-node sweeps, on a dependency chain and on one shared
+  predicate dag whose atom sources become valid one at a time.
 
 Usage::
 
@@ -188,9 +189,36 @@ def chain_store(length: int) -> NodeStore:
     return store
 
 
-def bench_worklist_pruning(length: int, repeats: int) -> Dict[str, float]:
-    store = chain_store(length)
-    expected = set(range(length))
+def fanin_store(sharers: int, width: int) -> NodeStore:
+    """``sharers`` selects on one ``width``-edge predicate dag.
+
+    Sources ``sharers ..`` form a chain (each needs the next, the last is
+    a variable), so they become valid one at a time, from the last down;
+    edge k of the shared dag is labelled by the k-th source to become
+    valid.  Rechecking a sharer whenever one of its sources becomes valid
+    re-walks the growing valid prefix of the shared dag ``width`` times
+    per sharer; ascending sweeps do the same over ``width`` passes.
+    """
+    store = NodeStore()
+    for node in range(sharers + width):
+        store.new_node(f"n{node}")
+    last = sharers + width - 1
+    edges = {(k, k + 1): [RefAtom(last - k)] for k in range(width)}
+    shared = Dag(range(width + 1), 0, width, edges)
+    for node in range(sharers):
+        condition = RowCondition("T", node, [[GenPredicate("C", dag=shared)]])
+        store.progs[node].append(GenSelect("C", "T", condition))
+    for node in range(sharers, last):
+        dag = Dag((0, 1), 0, 1, {(0, 1): [RefAtom(node + 1)]})
+        condition = RowCondition("T", node, [[GenPredicate("C", dag=dag)]])
+        store.progs[node].append(GenSelect("C", "T", condition))
+    store.progs[last].append(VarEntry(0))
+    store.target = 0
+    return store
+
+
+def bench_worklist_pruning(store: NodeStore, repeats: int) -> Dict[str, float]:
+    expected = set(range(len(store)))
     assert valid_nodes_fixpoint(store) == expected
     assert valid_nodes_fixpoint_naive(store) == expected
     naive_s = _timeit(lambda: valid_nodes_fixpoint_naive(store), repeats)
@@ -216,10 +244,15 @@ def run_suite(quick: bool) -> Dict[str, Dict[str, float]]:
     print(f"running {name} ...", flush=True)
     # The smallest win of the four; extra repeats keep best-of stable.
     results[name] = bench_dag_generation(40, 30, repeats * 3)
-    length = 400  # same size in quick mode so --check can compare it
+    # Same sizes in quick mode so --check can compare them.
+    length = 400
     name = f"worklist_pruning[chain={length}]"
     print(f"running {name} ...", flush=True)
-    results[name] = bench_worklist_pruning(length, repeats)
+    results[name] = bench_worklist_pruning(chain_store(length), repeats)
+    sharers, width = 200, 40
+    name = f"worklist_pruning[fanin={sharers}]"
+    print(f"running {name} ...", flush=True)
+    results[name] = bench_worklist_pruning(fanin_store(sharers, width), repeats)
     return results
 
 

@@ -87,8 +87,9 @@ class SynthesisConfig:
             (``Catalog.use_table_index``), which ``Select`` evaluation
             consults at serve time.
         use_worklist_pruning: compute the emptiness fixpoint of Intersect
-            with a dependency-driven worklist instead of repeated full-node
-            sweeps.  False selects the naive sweeps.
+            with one linear-time counter-driven propagation
+            (``repro.lookup.dstruct.emptiness_fixpoint``) instead of
+            repeated full-node sweeps.  False selects the naive sweeps.
         use_lazy_intersection: build the ``intersect_dags`` product with a
             structural forward-BFS plus a co-reachability sweep *before*
             any atom intersection is attempted, so atoms are only merged

@@ -19,11 +19,10 @@ Intersect/measure code is shared.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.syntactic.dag import Dag
+from repro.syntactic.dag import ConstAtom, Dag
 
 
 @dataclass(frozen=True)
@@ -236,44 +235,173 @@ class NodeStore:
         )
 
 
-def emptiness_fixpoint(
-    store: NodeStore, node_valid: Callable[[int, Set[int]], bool]
-) -> Set[int]:
-    """Dependency-driven least fixpoint of "node denotes an expression".
+def emptiness_fixpoint(store: NodeStore) -> Set[int]:
+    """Least fixpoint of "node denotes at least one concrete expression".
 
-    ``node_valid(node, valid)`` must be monotone in ``valid`` (more valid
-    dependencies can only make a node valid).  Instead of sweeping every
-    node until nothing changes -- O(nodes) sweeps of O(nodes) checks in
-    the worst case -- each node is rechecked only when one of the nodes
-    its predicates reference (``reference_edges``) becomes valid, so total
-    work is bounded by the number of dependency edges.
+    Read as Horn clauses, emptiness is satisfiability, decided in linear
+    time with one counter per clause (Dowling & Gallier 1984):
 
-    Shared by ``Intersect_t`` and ``Intersect_u`` emptiness pruning; the
-    naive sweeps remain available behind ``use_worklist_pruning=False``
-    as the equivalence oracle.
+    * a predicate holds by its constant, once its node is valid, or once
+      its dag's target is reachable from its source through enabled
+      edges -- an edge is enabled when one of its atoms is a
+      :class:`ConstAtom` or has a valid source;
+    * a candidate key counts its distinct unmet predicate dags and nodes;
+      a shared :class:`RowCondition` holds when any of its keys reaches
+      zero;
+    * a node is valid on a :class:`VarEntry` or on a select whose
+      condition holds.
+
+    Each dag's reached set grows only from vertices already reached, when
+    an edge is enabled (at most once) or a vertex is first reached
+    (expanded once), so total work is O(atoms + edges + predicates):
+    no dag is walked twice.  Lt stores carry constant/node predicates and
+    Lu stores dag predicates; a predicate with none of the three never
+    holds.  Shared by ``Intersect_t`` and ``Intersect_u`` emptiness
+    pruning; the naive sweeps remain available behind
+    ``use_worklist_pruning=False`` as the equivalence oracle.
     """
     valid: Set[int] = set()
-    dependents: Dict[int, List[int]] = {}
-    unresolved: List[int] = []
-    for node in range(len(store.vals)):
-        entries = store.progs[node]
+    ready: List[int] = []  # valid nodes whose dependents are not yet told
+    cond_ids: Dict[int, int] = {}
+    cond_owners: List[List[int]] = []  # emptied once the condition holds
+    key_cond: List[int] = []
+    key_missing: List[int] = []
+    free_keys: List[int] = []  # keys with nothing to wait for
+    node_keys: Dict[int, List[int]] = {}  # node -> keys referencing it
+    node_edges: Dict[int, List[int]] = {}  # node -> edges its atoms source
+    # Every dag's vertices and edges are numbered into flat lists.
+    dag_ids: Dict[int, int] = {}
+    dag_keys: List[List[int]] = []  # emptied once the target is reached
+    dag_source: List[int] = []
+    dag_target: List[int] = []
+    reached = bytearray()
+    out_edges: List[List[int]] = []
+    edge_tail: List[int] = []
+    edge_head: List[int] = []
+    edge_dag: List[int] = []
+    edge_on = bytearray()
+    const_dags: List[int] = []  # dags with an edge enabled from the start
+
+    def index_dag(dag: Dag) -> int:
+        dag_id = dag_ids.get(id(dag))
+        if dag_id is not None:
+            return dag_id
+        dag_id = dag_ids[id(dag)] = len(dag_keys)
+        dag_keys.append([])
+        base = len(out_edges)
+        vertex = {node: base + offset for offset, node in enumerate(dag.nodes)}
+        dag_source.append(vertex[dag.source])
+        dag_target.append(vertex[dag.target])
+        reached.extend(bytes(len(vertex)))
+        reached[vertex[dag.source]] = 1
+        out_edges.extend([[] for _ in vertex])
+        for (i, j), options in dag.edges.items():
+            if not options:
+                continue
+            edge = len(edge_head)
+            tail = vertex[i]
+            out_edges[tail].append(edge)
+            edge_tail.append(tail)
+            edge_head.append(vertex[j])
+            edge_dag.append(dag_id)
+            if any(isinstance(atom, ConstAtom) for atom in options):
+                edge_on.append(1)
+                if not const_dags or const_dags[-1] != dag_id:
+                    const_dags.append(dag_id)
+            else:
+                edge_on.append(0)
+                for source in {atom.source for atom in options}:
+                    node_edges.setdefault(source, []).append(edge)
+        return dag_id
+
+    def index_condition(cond: RowCondition) -> int:
+        cond_id = cond_ids[id(cond)] = len(cond_owners)
+        cond_owners.append([])
+        for predicates in cond.keys:
+            # The waiting lists this key joins, one per distinct dag or node.
+            waits: Dict[int, List[int]] = {}
+            for predicate in predicates:
+                if predicate.constant is not None:
+                    continue
+                if predicate.dag is not None:
+                    if predicate.dag.is_trivial_empty:
+                        continue
+                    wait = dag_keys[index_dag(predicate.dag)]
+                elif predicate.node is not None:
+                    wait = node_keys.setdefault(predicate.node, [])
+                else:
+                    break  # this key can never hold
+                waits[id(wait)] = wait
+            else:
+                key = len(key_missing)
+                key_cond.append(cond_id)
+                key_missing.append(len(waits))
+                for wait in waits.values():
+                    wait.append(key)
+                if not waits:
+                    free_keys.append(key)
+        return cond_id
+
+    for node, entries in enumerate(store.progs):
         if any(isinstance(entry, VarEntry) for entry in entries):
             valid.add(node)
-        elif entries:
-            unresolved.append(node)
-            for dependency in set(store.reference_edges(node)):
-                dependents.setdefault(dependency, []).append(node)
-    queue: deque = deque(valid)
-    # Nodes needing no valid dependency (constant predicates, const-only
-    # dag paths) seed the propagation alongside the variable nodes.
-    for node in unresolved:
-        if node not in valid and node_valid(node, valid):
-            valid.add(node)
-            queue.append(node)
-    while queue:
-        ready = queue.popleft()
-        for node in dependents.get(ready, ()):
-            if node not in valid and node_valid(node, valid):
-                valid.add(node)
-                queue.append(node)
+            ready.append(node)
+            continue
+        for entry in entries:
+            cond_id = cond_ids.get(id(entry.cond))
+            if cond_id is None:
+                cond_id = index_condition(entry.cond)
+            cond_owners[cond_id].append(node)
+
+    def hold(cond_id: int) -> None:
+        owners = cond_owners[cond_id]
+        cond_owners[cond_id] = []
+        for owner in owners:
+            if owner not in valid:
+                valid.add(owner)
+                ready.append(owner)
+
+    def meet(keys: List[int]) -> None:
+        for key in keys:
+            key_missing[key] -= 1
+            if not key_missing[key]:
+                hold(key_cond[key])
+
+    def reach(dag_id: int, start: int) -> None:
+        """Mark ``start`` reached and expand from it over enabled edges."""
+        target = dag_target[dag_id]
+        reached[start] = 1
+        stack = [start]
+        while stack:
+            vertex = stack.pop()
+            if vertex == target:
+                keys = dag_keys[dag_id]
+                dag_keys[dag_id] = []
+                meet(keys)
+                return
+            for edge in out_edges[vertex]:
+                if edge_on[edge]:
+                    head = edge_head[edge]
+                    if not reached[head]:
+                        reached[head] = 1
+                        stack.append(head)
+
+    for dag_id in const_dags:
+        reach(dag_id, dag_source[dag_id])
+    for key in free_keys:
+        hold(key_cond[key])
+    while ready:
+        node = ready.pop()
+        keys = node_keys.get(node)
+        if keys:
+            meet(keys)
+        for edge in node_edges.get(node, ()):
+            if edge_on[edge]:
+                continue
+            edge_on[edge] = 1
+            head = edge_head[edge]
+            if reached[edge_tail[edge]] and not reached[head]:
+                dag_id = edge_dag[edge]
+                if dag_keys[dag_id]:
+                    reach(dag_id, head)
     return valid

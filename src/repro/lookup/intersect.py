@@ -18,7 +18,7 @@ itself is empty).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import DEFAULT_CONFIG, SynthesisConfig
 from repro.lookup.dstruct import (
@@ -126,20 +126,13 @@ def valid_nodes_fixpoint(store: NodeStore, use_worklist: bool = True) -> Set[int
     A VarEntry makes a node valid outright; a GenSelect is valid when some
     candidate key has every predicate satisfiable given the current valid
     set (constants always satisfy; node references need a valid node).
-    The default dependency-driven worklist rechecks a node only when a
-    referenced node becomes valid; ``use_worklist=False`` runs the
-    original repeated full-node sweeps (the equivalence oracle).
+    The default is the counter-driven propagation of
+    :func:`~repro.lookup.dstruct.emptiness_fixpoint`; ``use_worklist=False``
+    runs the original repeated full-node sweeps (the equivalence oracle).
     """
     if not use_worklist:
         return valid_nodes_fixpoint_naive(store)
-
-    def node_valid(node: int, valid: Set[int]) -> bool:
-        return any(
-            isinstance(entry, GenSelect) and _select_valid(entry, valid)
-            for entry in store.progs[node]
-        )
-
-    return emptiness_fixpoint(store, node_valid)
+    return emptiness_fixpoint(store)
 
 
 def valid_nodes_fixpoint_naive(store: NodeStore) -> Set[int]:

@@ -181,20 +181,14 @@ def _select_valid(entry: GenSelect, valid: Set[int]) -> bool:
 def valid_nodes_fixpoint(store: NodeStore, use_worklist: bool = True) -> Set[int]:
     """Least fixpoint of "node denotes at least one concrete expression".
 
-    The default dependency-driven worklist rechecks a node only when one
-    of its referenced nodes becomes valid; ``use_worklist=False`` runs the
-    original repeated full-node sweeps (the equivalence oracle).
+    The default is the counter-driven propagation of
+    :func:`~repro.lookup.dstruct.emptiness_fixpoint`, which walks each
+    predicate dag at most once; ``use_worklist=False`` runs the original
+    repeated full-node sweeps (the equivalence oracle).
     """
     if not use_worklist:
         return valid_nodes_fixpoint_naive(store)
-
-    def node_valid(node: int, valid: Set[int]) -> bool:
-        return any(
-            isinstance(entry, GenSelect) and _select_valid(entry, valid)
-            for entry in store.progs[node]
-        )
-
-    return emptiness_fixpoint(store, node_valid)
+    return emptiness_fixpoint(store)
 
 
 def valid_nodes_fixpoint_naive(store: NodeStore) -> Set[int]:
